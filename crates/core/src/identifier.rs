@@ -39,6 +39,14 @@ pub enum Identification {
 }
 
 impl Identification {
+    /// The winner and accepted count, without the scores.
+    pub fn verdict(&self) -> Verdict {
+        Verdict {
+            device_type: self.device_type(),
+            accepted: self.accepted_candidates(),
+        }
+    }
+
     /// The predicted type, or `None` for an unknown device.
     pub fn device_type(&self) -> Option<TypeId> {
         match self {
@@ -72,6 +80,48 @@ impl Identification {
             0
         }
     }
+}
+
+/// The outcome of identifying one fingerprint without the
+/// discrimination scores: what the service needs to answer a query.
+/// A plain `Copy` value, so producing one never allocates, even when
+/// discrimination ran; [`Identification`] adds the ranked scores.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Verdict {
+    /// The predicted type, or `None` for an unknown device.
+    pub device_type: Option<TypeId>,
+    /// How many classifiers accepted the fingerprint (0 for an
+    /// unknown device).
+    pub accepted: usize,
+}
+
+impl Verdict {
+    /// Whether the edit-distance discrimination stage was needed
+    /// (more than one classifier accepted).
+    pub fn needed_discrimination(&self) -> bool {
+        self.accepted > 1
+    }
+
+    /// The full [`Identification`], with `scores` as left in the
+    /// scratch by the query this verdict came from (empty unless
+    /// discrimination ran).
+    fn with_scores(self, scores: &[(TypeId, f64)]) -> Identification {
+        match self.device_type {
+            None => Identification::Unknown,
+            Some(device_type) => Identification::Known {
+                device_type,
+                accepted: self.accepted,
+                scores: scores.to_vec(),
+            },
+        }
+    }
+}
+
+thread_local! {
+    /// The scratch behind [`DeviceTypeIdentifier::identify`] and
+    /// [`DeviceTypeIdentifier::verdict`]: one per thread, so concurrent
+    /// queries never contend.
+    static QUERY_SCRATCH: RefCell<CandidateScratch> = RefCell::new(CandidateScratch::new());
 }
 
 /// Reusable per-thread workspace for the identification hot path: the
@@ -721,13 +771,19 @@ impl DeviceTypeIdentifier {
     /// allocations end to end (each worker thread owns its own
     /// scratch, so concurrent identification never contends). Callers
     /// that manage their own scratch lifetimes should use
-    /// [`DeviceTypeIdentifier::identify_with`] directly.
+    /// [`DeviceTypeIdentifier::identify_with`] directly; callers that
+    /// need only the winner should use
+    /// [`DeviceTypeIdentifier::verdict`], which never allocates.
     pub fn identify(&self, fingerprint: &Fingerprint) -> Identification {
-        thread_local! {
-            static QUERY_SCRATCH: RefCell<CandidateScratch> =
-                RefCell::new(CandidateScratch::new());
-        }
         QUERY_SCRATCH.with(|scratch| self.identify_with(fingerprint, &mut scratch.borrow_mut()))
+    }
+
+    /// [`DeviceTypeIdentifier::identify`] without the discrimination
+    /// scores: the same winner and accepted count, and a warm call
+    /// performs zero heap allocations on every outcome, stage two
+    /// included. This is what the service answers queries with.
+    pub fn verdict(&self, fingerprint: &Fingerprint) -> Verdict {
+        QUERY_SCRATCH.with(|scratch| self.verdict_with(fingerprint, &mut scratch.borrow_mut()))
     }
 
     /// [`DeviceTypeIdentifier::identify`] against a caller-owned
@@ -742,6 +798,18 @@ impl DeviceTypeIdentifier {
         fingerprint: &Fingerprint,
         scratch: &mut CandidateScratch,
     ) -> Identification {
+        self.verdict_with(fingerprint, scratch)
+            .with_scores(&scratch.scores)
+    }
+
+    /// [`DeviceTypeIdentifier::verdict`] against a caller-owned
+    /// scratch. The ranked scores stay readable through
+    /// [`CandidateScratch::scores`].
+    pub fn verdict_with(
+        &self,
+        fingerprint: &Fingerprint,
+        scratch: &mut CandidateScratch,
+    ) -> Verdict {
         debug_assert_eq!(
             self.compiled_ids.len(),
             self.models.len(),
@@ -768,24 +836,25 @@ impl DeviceTypeIdentifier {
         self.stage_two(fingerprint, candidates, scores)
     }
 
-    /// [`DeviceTypeIdentifier::identify_with`] with stage one fanned
+    /// [`DeviceTypeIdentifier::verdict_with`] with stage one fanned
     /// out across `pool` via the pooled sharded scan (`shards` span
     /// ranges, candidate order bit-identical to the serial scan).
-    /// Stage two is shared with the serial path, so the outcome is
-    /// exactly [`DeviceTypeIdentifier::identify`]'s — this is the
-    /// large-bank query path, and the inner half of the nested
+    /// Stage two is shared with the serial path, so the verdict is
+    /// exactly [`DeviceTypeIdentifier::verdict`]'s, and the ranked
+    /// scores stay readable through [`CandidateScratch::scores`]. This
+    /// is the large-bank query path, and the inner half of the nested
     /// batch×shard fan-out: called from a task already on `pool`, the
     /// scan's sub-tasks ride the same workers through work-stealing
     /// instead of spawning. Warm calls allocate nothing and spawn
     /// nothing.
-    pub fn identify_sharded_on(
+    pub fn verdict_sharded_on(
         &self,
         pool: &sentinel_pool::ComputePool,
         fingerprint: &Fingerprint,
         shards: usize,
         scratch: &mut CandidateScratch,
         lanes: &mut ShardScratch,
-    ) -> Identification {
+    ) -> Verdict {
         debug_assert_eq!(
             self.compiled_ids.len(),
             self.models.len(),
@@ -809,24 +878,21 @@ impl DeviceTypeIdentifier {
     }
 
     /// The stage-two tail shared by every identify variant: resolve
-    /// the accepted candidate set to an [`Identification`], running
+    /// the accepted candidate set to a [`Verdict`], running
     /// edit-distance discrimination only when more than one classifier
-    /// accepted. `scores` must arrive cleared.
+    /// accepted. `scores` must arrive cleared; it leaves holding the
+    /// ranking, best first, when discrimination ran.
     fn stage_two(
         &self,
         fingerprint: &Fingerprint,
         candidates: &[TypeId],
         scores: &mut Vec<(TypeId, f64)>,
-    ) -> Identification {
-        match candidates.len() {
-            0 => Identification::Unknown,
-            1 => Identification::Known {
-                device_type: candidates[0],
-                accepted: 1,
-                scores: Vec::new(),
-            },
-            accepted => {
-                for id in candidates.iter() {
+    ) -> Verdict {
+        let device_type = match candidates {
+            [] => None,
+            [only] => Some(*only),
+            _ => {
+                for id in candidates {
                     let score = dissimilarity_over(
                         fingerprint,
                         &self.models[id].references,
@@ -837,12 +903,12 @@ impl DeviceTypeIdentifier {
                 // Stable ascending sort: ties break toward the earlier
                 // (lower-id) candidate, like `rank_candidates`.
                 scores.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-                Identification::Known {
-                    device_type: scores[0].0,
-                    accepted,
-                    scores: scores.clone(),
-                }
+                Some(scores[0].0)
             }
+        };
+        Verdict {
+            device_type,
+            accepted: candidates.len(),
         }
     }
 }

@@ -61,7 +61,7 @@ pub use classifier::TypeClassifier;
 pub use error::CoreError;
 pub use identifier::{
     BankStats, CandidateScratch, DeviceTypeIdentifier, Identification, ReplicatedBank,
-    ShardedScratch,
+    ShardedScratch, Verdict,
 };
 pub use incidents::{
     CorrelatorConfig, FlaggedType, GatewayId, IncidentCorrelator, IncidentKind, IncidentReport,

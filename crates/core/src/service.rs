@@ -21,7 +21,7 @@ use sentinel_fingerprint::Fingerprint;
 use sentinel_ml::ShardScratch;
 use sentinel_pool::ComputePool;
 
-use crate::identifier::{CandidateScratch, DeviceTypeIdentifier, Identification};
+use crate::identifier::{CandidateScratch, DeviceTypeIdentifier, Identification, Verdict};
 use crate::isolation::{IsolationClass, IsolationLevel};
 use crate::registry::{TypeId, TypeRegistry};
 use crate::vulnerability::VulnerabilityDatabase;
@@ -160,26 +160,26 @@ impl IoTSecurityService {
     /// The single response-assembly path shared by [`Self::handle`]
     /// and [`Self::handle_detailed`]: identification outcome →
     /// assessment → response. Allocation-free.
-    fn respond(&self, identification: &Identification) -> ServiceResponse {
-        let device_type = identification.device_type();
+    fn respond(&self, verdict: Verdict) -> ServiceResponse {
         ServiceResponse {
-            device_type,
-            isolation: self.vulnerabilities.assess(device_type),
-            needed_discrimination: identification.needed_discrimination(),
+            device_type: verdict.device_type,
+            isolation: self.vulnerabilities.assess(verdict.device_type),
+            needed_discrimination: verdict.needed_discrimination(),
         }
     }
 
     /// Handles one fingerprint query from a Security Gateway:
-    /// identify, assess, map to an isolation class.
+    /// identify, assess, map to an isolation class. A warm call
+    /// allocates nothing, whether or not discrimination ran.
     pub fn handle(&self, fingerprint: &Fingerprint) -> ServiceResponse {
-        self.respond(&self.identifier.identify(fingerprint))
+        self.respond(self.identifier.verdict(fingerprint))
     }
 
     /// Handles a query and also returns the raw identification (for
     /// evaluation harnesses that need candidate sets and scores).
     pub fn handle_detailed(&self, fingerprint: &Fingerprint) -> (ServiceResponse, Identification) {
         let identification = self.identifier.identify(fingerprint);
-        (self.respond(&identification), identification)
+        (self.respond(identification.verdict()), identification)
     }
 
     /// Handles a batch of fingerprint queries, producing one response
@@ -295,7 +295,7 @@ impl IoTSecurityService {
     /// and *inside* each chunk every fingerprint's stage-one scan
     /// fans out again over `shards` span ranges — on the **same**
     /// pool, via work-stealing
-    /// ([`DeviceTypeIdentifier::identify_sharded_on`]). Total live
+    /// ([`DeviceTypeIdentifier::verdict_sharded_on`]). Total live
     /// compute threads stay exactly the pool size however large the
     /// batch×shard product gets; the pre-pool implementation spawned
     /// scoped threads at both layers and oversubscribed the machine.
@@ -318,9 +318,8 @@ impl IoTSecurityService {
                 let (candidates, lanes) = &mut *scratch.borrow_mut();
                 responses.extend(fingerprints.iter().map(|fp| {
                     self.respond(
-                        &self
-                            .identifier
-                            .identify_sharded_on(pool, fp, shards, candidates, lanes),
+                        self.identifier
+                            .verdict_sharded_on(pool, fp, shards, candidates, lanes),
                     )
                 }));
             });
@@ -342,9 +341,8 @@ impl IoTSecurityService {
                     let (candidates, scan_lanes) = &mut *scratch.borrow_mut();
                     lane.extend(fingerprints[start..end].iter().map(|fp| {
                         self.respond(
-                            &self
-                                .identifier
-                                .identify_sharded_on(pool, fp, shards, candidates, scan_lanes),
+                            self.identifier
+                                .verdict_sharded_on(pool, fp, shards, candidates, scan_lanes),
                         )
                     }));
                 });

@@ -14,6 +14,33 @@
 //! Damerau-Levenshtein variant ([`damerau`]) and plain Levenshtein are
 //! provided for the distance-variant ablation.
 //!
+//! # The bit-parallel kernel
+//!
+//! Stage two scores one query against five references of every
+//! accepting type, so it runs the edit distance tens to hundreds of
+//! times per query. [`fingerprint_distance`], [`dissimilarity_over`]
+//! and [`dissimilarity_score`] therefore run OSA through Hyyrö's
+//! bit-vector algorithm (H. Hyyrö, "A bit-vector algorithm for
+//! computing Levenshtein and Damerau edit distances", Nordic Journal
+//! of Computing 10(1), 2003) and Levenshtein through the same kernel
+//! without its transposition term (Myers 1999) — see [`bitpar`]. The
+//! query word is the pattern: one `u64` holds a DP column of up to 64
+//! packets, and each reference packet advances it with a dozen word
+//! operations instead of one cell update per query packet.
+//!
+//! A pattern needs one match mask per distinct packet column. The
+//! masks sit in a 128-slot open-addressing table keyed by the full
+//! 23-feature column: a xor-fold of the features picks the slot, and
+//! an exact compare with the stored pattern packet confirms every hit,
+//! so distances never depend on the hash. The table is built once per
+//! scoring call, on the stack, so stage two allocates nothing.
+//!
+//! A query longer than 64 packets falls back to the `O(n·m)` DP
+//! ([`osa_distance`], [`levenshtein`]); full Damerau-Levenshtein always
+//! runs its DP. Kernel and DP agree exactly (pinned by property tests),
+//! and scores are summed in reference order, so every score is
+//! bit-identical to the DP's.
+//!
 //! # Example
 //!
 //! ```
@@ -28,11 +55,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bitpar;
 pub mod damerau;
 pub mod osa;
 pub mod packet_word;
 pub mod score;
 
+pub use bitpar::PatternMasks;
 pub use damerau::damerau_levenshtein;
 pub use osa::{levenshtein, normalized_osa, osa_distance};
 pub use packet_word::{fingerprint_distance, DistanceVariant};

@@ -5,8 +5,10 @@
 /// transposition** — the exact operation set of the paper — under the
 /// OSA restriction that no substring is edited twice.
 ///
-/// Runs in `O(|a|·|b|)` time and `O(min steps)`… rather, three rolling
-/// rows of `O(|b|)` space.
+/// Runs in `O(|a|·|b|)` time and keeps three rolling rows of
+/// `O(|b|)` space. This is the reference the bit-parallel kernel
+/// ([`crate::PatternMasks`]) is pinned against, and the fallback for
+/// words longer than 64 packets.
 ///
 /// # Examples
 ///

@@ -5,12 +5,13 @@
 //! distance computation is considered if all features f from a packet
 //! pᵢ are equal to those of another packet pⱼ." (§IV-B-2)
 //!
-//! [`PacketFeatures`](sentinel_fingerprint::PacketFeatures) derives
+//! [`PacketFeatures`] derives
 //! `Eq` over all 23 features, so the generic distances apply directly
 //! to fingerprint columns.
 
-use sentinel_fingerprint::Fingerprint;
+use sentinel_fingerprint::{Fingerprint, PacketFeatures};
 
+use crate::bitpar::PatternMasks;
 use crate::damerau::damerau_levenshtein;
 use crate::osa::{levenshtein, osa_distance};
 
@@ -31,6 +32,11 @@ pub enum DistanceVariant {
 /// the absolute packet-word distance divided by the length of the
 /// longer fingerprint.
 ///
+/// OSA and Levenshtein run the bit-parallel kernel ([`PatternMasks`])
+/// with the shorter word as the pattern, and fall back to the DP when
+/// both words exceed 64 packets; full Damerau-Levenshtein always runs
+/// its DP. Every path returns the same distance.
+///
 /// # Examples
 ///
 /// ```
@@ -50,14 +56,42 @@ pub enum DistanceVariant {
 /// assert_eq!(fingerprint_distance(&a, &b, DistanceVariant::Levenshtein), 0.5);
 /// ```
 pub fn fingerprint_distance(a: &Fingerprint, b: &Fingerprint, variant: DistanceVariant) -> f64 {
-    let longest = a.len().max(b.len());
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let masks = pattern_masks(short.columns(), variant);
+    normalized(masks.as_ref(), short.columns(), long.columns(), variant)
+}
+
+/// The kernel's match masks for `pattern`, when `variant` runs on the
+/// kernel and the pattern fits one word.
+pub(crate) fn pattern_masks(
+    pattern: &[PacketFeatures],
+    variant: DistanceVariant,
+) -> Option<PatternMasks<'_>> {
+    match variant {
+        DistanceVariant::FullDamerau => None,
+        DistanceVariant::Osa | DistanceVariant::Levenshtein => PatternMasks::new(pattern),
+    }
+}
+
+/// The normalised `variant` distance between `pattern` and `text`,
+/// through `masks` (built from `pattern`) when the kernel covers the
+/// variant and the word fits it, through the DP otherwise.
+pub(crate) fn normalized(
+    masks: Option<&PatternMasks<'_>>,
+    pattern: &[PacketFeatures],
+    text: &[PacketFeatures],
+    variant: DistanceVariant,
+) -> f64 {
+    let longest = pattern.len().max(text.len());
     if longest == 0 {
         return 0.0;
     }
-    let d = match variant {
-        DistanceVariant::Osa => osa_distance(a.columns(), b.columns()),
-        DistanceVariant::FullDamerau => damerau_levenshtein(a.columns(), b.columns()),
-        DistanceVariant::Levenshtein => levenshtein(a.columns(), b.columns()),
+    let d = match (variant, masks) {
+        (DistanceVariant::Osa, Some(masks)) => masks.osa(text),
+        (DistanceVariant::Osa, None) => osa_distance(pattern, text),
+        (DistanceVariant::Levenshtein, Some(masks)) => masks.levenshtein(text),
+        (DistanceVariant::Levenshtein, None) => levenshtein(pattern, text),
+        (DistanceVariant::FullDamerau, _) => damerau_levenshtein(pattern, text),
     };
     d as f64 / longest as f64
 }

@@ -8,7 +8,7 @@
 
 use sentinel_fingerprint::Fingerprint;
 
-use crate::packet_word::{fingerprint_distance, DistanceVariant};
+use crate::packet_word::{normalized, pattern_masks, DistanceVariant};
 
 /// Sums the normalised distances from `unknown` to each reference
 /// fingerprint. With `k` references the score lies in `[0, k]` (the
@@ -38,24 +38,38 @@ pub fn dissimilarity_score(
     references: &[&Fingerprint],
     variant: DistanceVariant,
 ) -> f64 {
-    references
-        .iter()
-        .map(|r| fingerprint_distance(unknown, r, variant))
-        .sum()
+    sum_distances(unknown, references.iter().copied(), variant)
 }
 
 /// [`dissimilarity_score`] over a slice of owned reference
 /// fingerprints — the shape model stores keep them in. Saves callers
 /// on the identification hot path from materialising a `Vec<&…>` per
 /// candidate just to call the borrowed-slice form.
+///
+/// This is stage two's inner loop. For OSA and Levenshtein the
+/// query's match masks are built once per call and every reference
+/// runs through the bit-parallel kernel; the sum is taken in
+/// reference order, so it is bit-identical to summing
+/// [`crate::fingerprint_distance`] over the references.
 pub fn dissimilarity_over(
     unknown: &Fingerprint,
     references: &[Fingerprint],
     variant: DistanceVariant,
 ) -> f64 {
+    sum_distances(unknown, references.iter(), variant)
+}
+
+/// The shared scoring loop: `unknown` is the pattern for every
+/// reference.
+fn sum_distances<'r>(
+    unknown: &Fingerprint,
+    references: impl Iterator<Item = &'r Fingerprint>,
+    variant: DistanceVariant,
+) -> f64 {
+    let pattern = unknown.columns();
+    let masks = pattern_masks(pattern, variant);
     references
-        .iter()
-        .map(|r| fingerprint_distance(unknown, r, variant))
+        .map(|r| normalized(masks.as_ref(), pattern, r.columns(), variant))
         .sum()
 }
 
@@ -87,6 +101,8 @@ pub fn rank_candidates<L: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::osa::{levenshtein, osa_distance};
+    use proptest::prelude::*;
     use sentinel_fingerprint::PacketFeatures;
 
     fn col(tag: u32) -> PacketFeatures {
@@ -165,5 +181,53 @@ mod tests {
             0.0
         );
         assert!(dissimilarity_score(&unknown, &[&same, &off], DistanceVariant::Osa) > 0.0);
+    }
+
+    /// The DP oracle: normalised distances summed in reference order.
+    fn dp_sum(unknown: &Fingerprint, references: &[Fingerprint], variant: DistanceVariant) -> f64 {
+        references
+            .iter()
+            .map(|r| {
+                let longest = unknown.len().max(r.len());
+                if longest == 0 {
+                    return 0.0;
+                }
+                let d = match variant {
+                    DistanceVariant::Levenshtein => levenshtein(unknown.columns(), r.columns()),
+                    _ => osa_distance(unknown.columns(), r.columns()),
+                };
+                d as f64 / longest as f64
+            })
+            .sum()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn kernel_scores_are_bit_identical_to_the_dp(
+            alphabet in 1u32..5,
+            unknown in proptest::collection::vec(0u32..4, 0..131),
+            references in proptest::collection::vec(
+                proptest::collection::vec(0u32..4, 0..80), 0..6),
+        ) {
+            let word = |tags: &[u32]| {
+                fp(&tags.iter().map(|t| t % alphabet).collect::<Vec<_>>())
+            };
+            let unknown = word(&unknown);
+            let references: Vec<Fingerprint> = references.iter().map(|r| word(r)).collect();
+            let borrowed: Vec<&Fingerprint> = references.iter().collect();
+            for variant in [DistanceVariant::Osa, DistanceVariant::Levenshtein] {
+                let oracle = dp_sum(&unknown, &references, variant).to_bits();
+                prop_assert_eq!(
+                    dissimilarity_over(&unknown, &references, variant).to_bits(),
+                    oracle
+                );
+                prop_assert_eq!(
+                    dissimilarity_score(&unknown, &borrowed, variant).to_bits(),
+                    oracle
+                );
+            }
+        }
     }
 }

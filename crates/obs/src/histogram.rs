@@ -6,7 +6,10 @@
 //! is the shared-writer form the server's metrics registry records
 //! into from its worker threads.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{
+    AtomicU64,
+    Ordering::{Acquire, Relaxed, Release},
+};
 
 /// Sub-bucket resolution: each power-of-two range splits into 16
 /// linear sub-buckets, bounding relative error at 1/16 (~6%).
@@ -164,9 +167,12 @@ impl LogHistogram {
 /// bucket counts into a plain [`LogHistogram`]. Per-bucket counts are
 /// monotone under concurrent recording (each is a single atomic), so
 /// repeated snapshots never observe a count going backwards; the
-/// `sum`/`min`/`max` companions are updated by separate relaxed
-/// operations and may trail the bucket counts by in-flight samples —
-/// exact at quiescence, advisory mid-flight.
+/// `sum`/`min`/`max` companions are updated by separate operations and
+/// may trail the bucket counts by in-flight samples — exact at
+/// quiescence, advisory mid-flight. They never lead the counts: a
+/// record publishes its companions (release) after its bucket count,
+/// and a read loads the companions (acquire) before the counts, so a
+/// snapshot with a zero count is all zeros.
 #[derive(Debug)]
 pub struct AtomicHistogram {
     counts: Box<[AtomicU64]>,
@@ -200,9 +206,9 @@ impl AtomicHistogram {
     /// latency, which is beyond any server's lifetime.
     pub fn record(&self, value: u64) {
         self.counts[bucket_index(value)].fetch_add(1, Relaxed);
-        self.sum.fetch_add(value, Relaxed);
-        self.min.fetch_min(value, Relaxed);
-        self.max.fetch_max(value, Relaxed);
+        self.sum.fetch_add(value, Release);
+        self.min.fetch_min(value, Release);
+        self.max.fetch_max(value, Release);
     }
 
     /// Number of recorded samples: the bucket counts summed, so the
@@ -214,14 +220,16 @@ impl AtomicHistogram {
 
     /// Folds this histogram's current contents into `out`.
     pub fn merge_into(&self, out: &mut LogHistogram) {
+        // Companions first: every sample they include already has its
+        // bucket count visible to the loads below.
+        out.sum += u128::from(self.sum.load(Acquire));
+        out.min = out.min.min(self.min.load(Acquire));
+        out.max = out.max.max(self.max.load(Acquire));
         for (mine, theirs) in out.counts.iter_mut().zip(self.counts.iter()) {
             let theirs = theirs.load(Relaxed);
             *mine += theirs;
             out.total += theirs;
         }
-        out.sum += u128::from(self.sum.load(Relaxed));
-        out.min = out.min.min(self.min.load(Relaxed));
-        out.max = out.max.max(self.max.load(Relaxed));
     }
 }
 

@@ -59,7 +59,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
 /// Environment variable overriding the global pool's worker count.
@@ -266,6 +266,12 @@ impl ComputePool {
     /// Creates a pool with `threads` pinned workers (clamped to at
     /// least 1). Workers are created once, here, and live until the
     /// pool is dropped; no call on the pool ever spawns again.
+    ///
+    /// Returns only once every worker thread is running its loop, so
+    /// the runtime's own thread start-up (naming the thread, setting up
+    /// its thread-locals) never overlaps the caller's first jobs — a
+    /// zero-allocation window measured right after construction sees
+    /// the pool's steady state.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
@@ -278,16 +284,24 @@ impl ComputePool {
             wake: Condvar::new(),
             counters: CounterCells::default(),
         });
+        let started = Arc::new(Barrier::new(threads + 1));
         let handles = (0..threads)
             .map(|index| {
                 let shared = Arc::clone(&shared);
+                let started = Arc::clone(&started);
                 note_thread_spawn();
                 std::thread::Builder::new()
                     .name(format!("sentinel-pool-{index}"))
-                    .spawn(move || worker_loop(shared, index))
+                    .spawn(move || {
+                        WORKER.with(|w| w.set(Some((shared.pool_id, index))));
+                        started.wait();
+                        drop(started);
+                        worker_loop(shared, index)
+                    })
                     .expect("spawning pool worker")
             })
             .collect();
+        started.wait();
         Self { shared, handles }
     }
 
@@ -608,7 +622,6 @@ fn find_ticket(shared: &Shared, index: usize) -> Option<Ticket> {
 }
 
 fn worker_loop(shared: Arc<Shared>, index: usize) {
-    WORKER.with(|w| w.set(Some((shared.pool_id, index))));
     loop {
         if let Some(ticket) = find_ticket(&shared, index) {
             work_ticket(&shared, ticket);
@@ -670,8 +683,19 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
+    /// The spawn ledger and the process's thread list are global, so
+    /// tests asserting on them would see the pools of concurrently
+    /// running tests. Every test here holds this lock for its whole
+    /// body.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        lock(&SERIAL)
+    }
+
     #[test]
     fn for_each_runs_every_task_exactly_once() {
+        let _serial = serial();
         let pool = ComputePool::new(4);
         let hits: Vec<AtomicUsize> = (0..257).map(|_| AtomicUsize::new(0)).collect();
         pool.for_each(hits.len(), |i| {
@@ -683,12 +707,14 @@ mod tests {
 
     #[test]
     fn zero_tasks_is_a_no_op() {
+        let _serial = serial();
         let pool = ComputePool::new(2);
         pool.for_each(0, |_| panic!("must not run")).unwrap();
     }
 
     #[test]
     fn single_task_runs_inline_on_the_caller() {
+        let _serial = serial();
         let pool = ComputePool::new(4);
         let caller = std::thread::current().id();
         let ran_on = Mutex::new(None);
@@ -703,6 +729,7 @@ mod tests {
 
     #[test]
     fn size_one_pool_matches_sequential_results_bit_identically() {
+        let _serial = serial();
         let pool = ComputePool::new(1);
         let pooled: Vec<Mutex<u64>> = (0..64).map(|_| Mutex::new(0)).collect();
         pool.for_each(64, |i| {
@@ -718,6 +745,7 @@ mod tests {
 
     #[test]
     fn borrowed_caller_data_is_visible_to_tasks() {
+        let _serial = serial();
         let pool = ComputePool::new(3);
         let inputs: Vec<u64> = (0..100).collect();
         let total = AtomicU64::new(0);
@@ -730,6 +758,7 @@ mod tests {
 
     #[test]
     fn panic_is_contained_typed_and_does_not_poison_the_pool() {
+        let _serial = serial();
         let pool = ComputePool::new(2);
         let survivors = AtomicUsize::new(0);
         let err = pool
@@ -754,6 +783,7 @@ mod tests {
 
     #[test]
     fn run_executes_remotely_for_external_callers() {
+        let _serial = serial();
         let pool = ComputePool::new(2);
         let caller = std::thread::current().id();
         let (value, worker) = pool.run(|| (21 * 2, std::thread::current().id())).unwrap();
@@ -763,6 +793,7 @@ mod tests {
 
     #[test]
     fn run_panic_is_typed() {
+        let _serial = serial();
         let pool = ComputePool::new(1);
         let err = pool.run(|| -> u32 { panic!("boom in run") }).unwrap_err();
         assert_eq!(err.message(), "boom in run");
@@ -771,6 +802,7 @@ mod tests {
 
     #[test]
     fn nested_for_each_reuses_the_same_workers() {
+        let _serial = serial();
         let pool = ComputePool::new(3);
         let before = thread_spawns();
         let total = AtomicU64::new(0);
@@ -790,6 +822,7 @@ mod tests {
 
     #[test]
     fn deeply_nested_size_one_pool_makes_progress() {
+        let _serial = serial();
         // The degenerate configuration that deadlocks naive designs:
         // one worker, external caller, three levels of nesting.
         let pool = ComputePool::new(1);
@@ -809,6 +842,7 @@ mod tests {
 
     #[test]
     fn executed_reconciles_with_submitted_even_after_panics() {
+        let _serial = serial();
         let pool = ComputePool::new(2);
         let _ = pool.for_each(10, |i| {
             if i % 2 == 0 {
@@ -824,34 +858,34 @@ mod tests {
 
     #[test]
     fn drop_joins_all_workers() {
-        let live = |name: &str| -> usize {
-            // Count threads in this process via /proc; fall back to 0
-            // lets the assertion below degrade to spawn accounting.
-            std::fs::read_to_string("/proc/self/status")
-                .ok()
-                .and_then(|s| {
-                    s.lines()
-                        .find(|l| l.starts_with(name))
-                        .and_then(|l| l.split_whitespace().nth(1))
-                        .and_then(|n| n.parse().ok())
-                })
-                .unwrap_or(0)
+        let _serial = serial();
+        // Live pool workers in this process, by thread name from
+        // /proc (`None` where there is no /proc). Counting by name
+        // leaves out the test harness's own threads, which come and go
+        // while this test runs.
+        let live = || -> Option<usize> {
+            let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+            Some(
+                tasks
+                    .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+                    .filter(|name| name.starts_with("sentinel-pool-"))
+                    .count(),
+            )
         };
-        let before = live("Threads:");
+        let before = live();
         {
             let pool = ComputePool::new(4);
             pool.for_each(8, |_| {}).unwrap();
-            if before > 0 {
-                assert_eq!(live("Threads:"), before + 4);
+            if let Some(before) = before {
+                assert_eq!(live(), Some(before + 4));
             }
         }
-        if before > 0 {
-            assert_eq!(live("Threads:"), before, "drop must join every worker");
-        }
+        assert_eq!(live(), before, "drop must join every worker");
     }
 
     #[test]
     fn global_pool_is_shared_and_env_sized() {
+        let _serial = serial();
         let a = Arc::as_ptr(global());
         let b = Arc::as_ptr(global());
         assert_eq!(a, b);
@@ -860,6 +894,7 @@ mod tests {
 
     #[test]
     fn parallelism_is_bounded_by_pool_size() {
+        let _serial = serial();
         let pool = ComputePool::new(2);
         let live = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);

@@ -22,6 +22,10 @@
 //!   allocations** AND **zero thread spawns** (pinned by the
 //!   workspace-wide spawn ledger), and the pool's own accounting
 //!   reconciles: every task submitted was executed.
+//! * Stage two: discrimination runs the bit-parallel edit distance
+//!   with its match masks on the stack, and `handle` answers from a
+//!   score-free `Verdict`, so a warm query that reaches stage two is
+//!   allocation-free too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -247,6 +251,50 @@ fn warm_handle_is_allocation_free() {
     }
 }
 
+#[test]
+fn warm_multi_candidate_handle_is_allocation_free() {
+    let _serial = serial();
+    // Two types with identical training data both accept the twin
+    // probe, so every query below runs stage two.
+    let mut ds = Dataset::new();
+    for i in 0..20u32 {
+        for label in ["TwinOne", "TwinTwo"] {
+            ds.push(LabeledFingerprint::new(
+                label,
+                fp_bits(0, &[100, 110, 120 + (i % 2)]),
+            ));
+        }
+        for far in 0..12u32 {
+            ds.push(LabeledFingerprint::new(
+                format!("Far{far}"),
+                fp_bits(0, &[900 + 50 * far, 910 + 50 * far, 920 + 50 * far]),
+            ));
+        }
+    }
+    let s = SentinelBuilder::new()
+        .dataset(ds)
+        .training_seed(3)
+        .build()
+        .unwrap();
+    let service = s.service();
+    let probe = fp_bits(0, &[100, 110, 120]);
+    let (detailed, identification) = service.handle_detailed(&probe);
+    assert!(
+        identification.accepted_candidates() >= 2,
+        "the twin probe must reach stage two"
+    );
+    // Warm up the thread-local scratch.
+    std::hint::black_box(service.handle(&probe));
+
+    let (allocs, response) = allocations_during(|| std::hint::black_box(service.handle(&probe)));
+    assert_eq!(response, detailed, "handle and handle_detailed diverged");
+    assert!(response.needed_discrimination);
+    assert_eq!(
+        allocs, 0,
+        "a warm handle that runs stage two must not touch the heap"
+    );
+}
+
 /// The 5-type dataset the sharded tests train on, so shard counts up
 /// to 4 are not clamped away.
 fn five_type_dataset() -> Dataset {
@@ -291,7 +339,7 @@ fn pooled_sharded_scan_is_allocation_and_spawn_free() {
     // Grow every lane buffer and the pool's queues at the widest
     // shard count before measuring.
     for _ in 0..4 {
-        std::hint::black_box(identifier.identify_sharded_on(
+        std::hint::black_box(identifier.verdict_sharded_on(
             &pool,
             &probe,
             4,
@@ -302,9 +350,9 @@ fn pooled_sharded_scan_is_allocation_and_spawn_free() {
 
     let spawns_before = thread_spawns();
     for shards in [1usize, 2, 3, 4] {
-        identifier.identify_sharded_on(&pool, &probe, shards, &mut scratch, &mut lanes);
+        identifier.verdict_sharded_on(&pool, &probe, shards, &mut scratch, &mut lanes);
         let (allocs, result) = allocations_during(|| {
-            std::hint::black_box(identifier.identify_sharded_on(
+            std::hint::black_box(identifier.verdict_sharded_on(
                 &pool,
                 &probe,
                 shards,
@@ -313,7 +361,7 @@ fn pooled_sharded_scan_is_allocation_and_spawn_free() {
             ))
         });
         assert_eq!(
-            result.device_type(),
+            result.device_type,
             expected.device_type(),
             "{shards}-shard identification diverged from the sequential result"
         );
